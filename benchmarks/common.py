@@ -158,7 +158,8 @@ def emit_benchmark_json(path, benches, session_meta: dict | None = None) -> Path
 
     ``benches`` is the benchmark list pytest-benchmark collected during
     the session; ``session_meta`` adds environment context (scale,
-    platform) to the header.
+    platform) to the header, which always records the host's
+    ``cpu_count``.
     """
     import json
     import platform
@@ -175,6 +176,7 @@ def emit_benchmark_json(path, benches, session_meta: dict | None = None) -> Path
         "python": sys.version.split()[0],
         "platform": platform.platform(),
         "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
         "benchmarks": [benchmark_record(b) for b in benches],
     }
     if session_meta:

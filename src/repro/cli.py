@@ -60,6 +60,7 @@ from .obs import (
     format_event,
     setup_logging,
 )
+from .snapshot.serving import serving_summary
 
 
 def _add_app_args(
@@ -133,11 +134,15 @@ def _add_campaign_args(p: argparse.ArgumentParser) -> None:
         "incompatible with --jobs > 1, --db, and --checkpoint-dir",
     )
     p.add_argument(
-        "--snapshot", action=argparse.BooleanOptionalAction, default=True,
-        help="snapshot-and-fork serving: run the fault-free prefix once "
-        "per injection point and fork every test from the parked state "
-        "(bit-identical results, default on); --no-snapshot forces "
-        "classic full replays and the point-major unit layout",
+        "--snapshot", action=argparse.BooleanOptionalAction, default=None,
+        help="how tests are served (results are bit-identical either way). "
+        "Default: per point, fork every test from one parked fault-free "
+        "prefix only when that prefix spans at least 1000 golden-run "
+        "scheduler events and more than one test is served per park "
+        "(one-at-a-time --adaptive serving never forks); otherwise "
+        "replay from scratch. --snapshot forks every point; "
+        "--no-snapshot replays every test and selects the point-major "
+        "unit layout",
     )
     p.add_argument(
         "--fault-model", default="bitflip", metavar="NAME",
@@ -207,7 +212,7 @@ def _tool(args: argparse.Namespace) -> FastFIT:
         progress_sinks=sinks,
         progress_every=getattr(args, "progress_every", 1),
         static_prune=getattr(args, "static_prune", False),
-        snapshot=getattr(args, "snapshot", True),
+        snapshot=getattr(args, "snapshot", None),
         fault_model=getattr(args, "fault_model", "bitflip"),
         scenario=scenario,
     )
@@ -565,6 +570,9 @@ def _stats_from_db(args: argparse.Namespace) -> int:
             f"{'complete' if c['complete'] else 'INCOMPLETE'}"
         )
         print(f"recorded tests: {total}, quarantined units: {n_quarantined}")
+        serving = serving_summary((metrics or {}).get("counters", {}))
+        if serving:
+            print(f"snapshot engine: {serving}")
         print()
         order = [o.name for o in OUTCOME_ORDER] + [Outcome.TOOL_ERROR.name]
         fractions = {
@@ -627,6 +635,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if n_predicted:
         print(f"static prune: {n_predicted} of {n_tests} tests statically "
               f"proven ({n_predicted / n_tests:.1%} skipped)")
+    serving = serving_summary(data["counters"])
+    if serving:
+        print(f"snapshot engine: {serving}")
 
     print()
     print(

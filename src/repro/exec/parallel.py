@@ -63,7 +63,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.progress import ProgressTracker
 from ..profiling.profiler import ApplicationProfile
 from .checkpoint import CheckpointStore, campaign_digest
-from .sharding import WorkUnit, default_unit_tests, make_units, units_of_point
+from .sharding import WorkUnit, default_unit_tests, make_units, unit_layout, units_of_point
 from .supervisor import SupervisedPool, SupervisorConfig, WorkerState
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -102,7 +102,7 @@ class ParallelCampaign:
         quarantine: bool = True,
         tracer: "Tracer | None" = None,
         progress_sinks: Sequence | None = None,
-        snapshot: bool = True,
+        snapshot: bool | None = None,
         fault_model: str = "bitflip",
         scenario=None,
         stopper=None,
@@ -135,10 +135,15 @@ class ParallelCampaign:
             quarantine=quarantine,
         )
         self.tracer = tracer
-        #: Snapshot-and-fork serving in the workers (:mod:`repro.snapshot`).
-        #: Also selects the unit layout: with no explicit ``unit_tests``,
-        #: snapshot campaigns use the site-major ``"s1"`` layout (one
-        #: prefix park per point, site-adjacent ordering).
+        #: How workers serve tests, as ``Campaign.snapshot``: ``None``
+        #: (default) forks a point only when its golden-run prefix spans
+        #: at least ``FORK_MIN_PREFIX_STEPS`` (1000) scheduler events and
+        #: the unit serves more than one test per park (never with a
+        #: stopper); ``True`` always forks; ``False`` always replays from
+        #: scratch.  Also selects the unit layout (:func:`unit_layout`):
+        #: with no explicit ``unit_tests``, ``None`` and ``True`` use the
+        #: site-major ``"s1"`` layout (one prefix park per point,
+        #: site-adjacent ordering), ``False`` the point-major ``"p1"``.
         self.snapshot = snapshot
         #: Fault-model name / optional scenario timeline (see
         #: :mod:`repro.injection.models`), forwarded to every worker.
@@ -239,9 +244,7 @@ class ParallelCampaign:
             if len(set(point_indices)) != len(point_indices):
                 raise ValueError("point_indices must be unique")
         pos_of = {g: p for p, g in enumerate(point_indices)}
-        # Site-major layout only when the snapshot engine will serve the
-        # units and the caller did not pin an explicit unit size.
-        layout = "s1" if (self.snapshot and self.unit_tests is None) else "p1"
+        layout = unit_layout(self.snapshot, self.unit_tests)
         if self.stopper is not None:
             # Whole-point units regardless of layout: the stop decision
             # is a function of the ordered per-point prefix, so exactly

@@ -84,6 +84,14 @@ def default_unit_tests(tests_per_point: int) -> int:
 LAYOUTS = ("p1", "s1")
 
 
+def unit_layout(snapshot: bool | None, unit_tests: int | None = None) -> str:
+    """The layout a campaign's units use: site-major ``"s1"`` unless
+    every test replays from scratch (``snapshot=False``) or the caller
+    pinned a unit size.  The default (``snapshot=None``) keeps ``"s1"``,
+    so its digests equal those of a ``snapshot=True`` campaign."""
+    return "s1" if snapshot is not False and unit_tests is None else "p1"
+
+
 def make_units(
     n_points: int,
     tests_per_point: int,

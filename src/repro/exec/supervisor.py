@@ -48,12 +48,9 @@ from multiprocessing import get_context
 from multiprocessing.connection import Connection, wait as connection_wait
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-import numpy as np
-
 from ..apps.base import Application
 from ..injection.runner import InjectionRunner, TestResult
-from ..injection.models import draw_spec
-from ..injection.space import FaultSpec, InjectionPoint
+from ..injection.space import InjectionPoint
 from ..obs.metrics import MetricsRegistry
 from ..profiling.profiler import ApplicationProfile
 from .sharding import WorkUnit
@@ -136,58 +133,40 @@ class WorkerState:
         param_policy: str,
         seed: int,
         algorithms: dict[str, str] | None,
-        snapshot: bool = True,
+        snapshot: bool | None = None,
         fault_model: str = "bitflip",
         scenario=None,
         stopper=None,
     ):
-        self.app = app
-        self.param_policy = param_policy
-        self.seed = seed
-        self.fault_model = fault_model
-        self.scenario = scenario
-        #: Optional :class:`~repro.steer.SequentialStopper`.  Units then
-        #: carry a whole point each (the engine guarantees it) and the
-        #: worker serves tests one at a time, truncating the stream at
-        #: the same index any other scheduling would.
-        self.stopper = stopper
+        # Lazy import: repro.snapshot depends on repro.injection.
+        from ..snapshot.serving import PointServer
+
         # The profile arrives pickled; the runner derives its hang budget
         # from it without re-running the golden job.
         self.runner = InjectionRunner(app, profile, algorithms=algorithms)
-        self.engine = None
-        if snapshot:
-            # Lazy import: repro.snapshot depends on repro.injection.
-            from ..snapshot import SnapshotEngine
-
-            self.engine = SnapshotEngine(self.runner)
+        #: Draws and serves each unit's tests (fork or scratch per point).
+        #: With a :class:`~repro.steer.SequentialStopper`, units carry a
+        #: whole point each (the engine guarantees it) and tests run one
+        #: at a time, truncated at the same index any scheduling would.
+        self.server = PointServer(
+            self.runner,
+            seed=seed,
+            param_policy=param_policy,
+            fault_model=fault_model,
+            scenario=scenario,
+            stopper=stopper,
+            snapshot=snapshot,
+        )
 
     def execute(
         self, unit: WorkUnit, point: InjectionPoint
     ) -> tuple[str, list[TestResult], MetricsRegistry]:
         """Run one work unit; return its results and metrics snapshot."""
         registry = MetricsRegistry()
-        tests: list[TestResult] = []
         with registry.time("exec.unit_s"):
-            if self.stopper is not None:
-                tests = self._execute_sequential(unit, point, registry)
-            else:
-                tasks: list[tuple[FaultSpec, np.random.Generator]] = []
-                for t in range(unit.test_start, unit.test_stop):
-                    seq = np.random.SeedSequence(
-                        entropy=self.seed, spawn_key=(unit.point_index, t)
-                    )
-                    rng = np.random.default_rng(seq)
-                    spec = draw_spec(
-                        point, rng,
-                        policy=self.param_policy,
-                        model=self.fault_model,
-                        scenario=self.scenario,
-                    )
-                    tasks.append((spec, rng))
-                if self.engine is not None:
-                    tests = self.engine.serve_point(point, tasks, metrics=registry)
-                else:
-                    tests = [self.runner.run_one(spec, rng) for spec, rng in tasks]
+            tests = self.server.run(
+                point, unit.point_index, range(unit.test_start, unit.test_stop), registry
+            )
         registry.counter("campaign.tests").inc(len(tests))
         saved = unit.n_tests - len(tests)
         if saved > 0:
@@ -195,37 +174,6 @@ class WorkerState:
         for test in tests:
             registry.counter(f"campaign.outcome.{test.outcome.name}").inc()
         return unit.unit_id, tests, registry
-
-    def _execute_sequential(
-        self, unit: WorkUnit, point: InjectionPoint, registry: MetricsRegistry
-    ) -> list[TestResult]:
-        """Serve tests one at a time, truncating at the stopper's index.
-
-        The decision is a pure function of the ordered result prefix, so
-        this truncates exactly where a serial loop would.  Under the
-        snapshot engine the point stays parked across calls, so the
-        per-test ``serve_point`` only pays the fork, not the warm-up.
-        """
-        tests: list[TestResult] = []
-        for t in range(unit.test_start, unit.test_stop):
-            seq = np.random.SeedSequence(
-                entropy=self.seed, spawn_key=(unit.point_index, t)
-            )
-            rng = np.random.default_rng(seq)
-            spec = draw_spec(
-                point, rng,
-                policy=self.param_policy,
-                model=self.fault_model,
-                scenario=self.scenario,
-            )
-            if self.engine is not None:
-                [res] = self.engine.serve_point(point, [(spec, rng)], metrics=registry)
-            else:
-                res = self.runner.run_one(spec, rng)
-            tests.append(res)
-            if self.stopper.should_stop(tests):
-                break
-        return tests
 
 
 @dataclass(frozen=True)

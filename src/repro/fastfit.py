@@ -131,7 +131,7 @@ class FastFIT:
         progress_sinks=None,
         progress_every: int = 1,
         static_prune: bool = False,
-        snapshot: bool = True,
+        snapshot: bool | None = None,
         fault_model: str = "bitflip",
         scenario=None,
     ):
@@ -166,8 +166,13 @@ class FastFIT:
         #: Skip tests whose outcome the static pre-classifier proves
         #: (serial in-memory campaigns only; see :mod:`repro.analyze`).
         self.static_prune = static_prune
-        #: Snapshot-and-fork serving (:mod:`repro.snapshot`): amortise
-        #: the fault-free prefix across every test at an injection point.
+        #: How campaign tests are served (:mod:`repro.snapshot.serving`).
+        #: ``None`` (default) forks a point's tests from one parked
+        #: fault-free prefix only when that prefix spans at least
+        #: ``FORK_MIN_PREFIX_STEPS`` (1000) golden-run scheduler events and
+        #: more than one test is served per park, so one-test-at-a-time
+        #: serving (``steer``) never forks; ``True`` always forks,
+        #: ``False`` always replays from scratch.
         self.snapshot = snapshot
         #: Fault model applied to every campaign test (see
         #: :data:`repro.injection.models.MODELS`).

@@ -22,7 +22,7 @@ import numpy as np
 from ..apps.base import Application
 from ..profiling.profiler import ApplicationProfile
 from .outcome import OUTCOME_ORDER, Outcome
-from .models import MODELS, draw_spec
+from .models import MODELS
 from .runner import InjectionRunner, TestResult
 from .scenario import Scenario
 from .space import FaultSpec, InjectionPoint
@@ -268,7 +268,7 @@ class Campaign:
         tracer=None,
         progress_sinks=None,
         preclassifier=None,
-        snapshot: bool = True,
+        snapshot: bool | None = None,
         fault_model: str = "bitflip",
         scenario: Scenario | None = None,
         stopper=None,
@@ -299,6 +299,8 @@ class Campaign:
                 f"unknown fault model {fault_model!r}; "
                 f"choices: {', '.join(n for n in MODELS if n != 'scenario')}"
             )
+        if snapshot not in (None, True, False):
+            raise ValueError(f"snapshot must be None, True or False, got {snapshot!r}")
         if scenario is not None and fault_model != "bitflip":
             raise ValueError("scenario and fault_model are mutually exclusive")
         if preclassifier is not None and (
@@ -349,11 +351,16 @@ class Campaign:
         #: Optional :class:`repro.analyze.PreClassifier`; tests it
         #: proves are recorded as ``predicted`` results without running.
         self.preclassifier = preclassifier
-        #: Snapshot-and-fork serving (:mod:`repro.snapshot`): run the
-        #: fault-free prefix once per point and fork every test from the
-        #: parked state.  Results are bit-identical either way; ``False``
-        #: forces classic full replays (also selects the point-major unit
-        #: layout when parallel).
+        #: How tests are served (:mod:`repro.snapshot`); results are
+        #: bit-identical either way.  ``None`` (default) forks a point's
+        #: tests from one parked prefix only when the point's golden-run
+        #: prefix spans at least ``FORK_MIN_PREFIX_STEPS`` (1000) scheduler
+        #: events and more than one test is served per park, so serving
+        #: one test at a time (``stopper``) never forks; the rest replay
+        #: from scratch (see :mod:`repro.snapshot.serving` for the data
+        #: the threshold was fitted on).  ``True`` forks every point;
+        #: ``False`` replays every test from scratch and, when parallel,
+        #: selects the point-major unit layout.
         self.snapshot = snapshot
         #: Fault-model name from :data:`repro.injection.models.MODELS`
         #: applied to every test ("bitflip" = the paper's model).
@@ -368,113 +375,62 @@ class Campaign:
         #: so stopped campaigns stay bit-identical across schedulings.
         self.stopper = stopper
         self.runner = InjectionRunner(app, profile, algorithms=algorithms)
-        self._engine = None
+        # Lazy import: repro.snapshot depends on repro.injection.
+        from ..snapshot.serving import PointServer
+
+        self._server = PointServer(
+            self.runner,
+            seed=seed,
+            param_policy=param_policy,
+            fault_model=fault_model,
+            scenario=scenario,
+            stopper=stopper,
+            snapshot=snapshot,
+            metrics=metrics,
+        )
 
     def _rng_for(self, point_index: int, test_index: int) -> np.random.Generator:
-        seq = np.random.SeedSequence(
-            entropy=self.seed, spawn_key=(point_index, test_index)
-        )
-        return np.random.default_rng(seq)
-
-    def _snapshot_engine(self):
-        """Lazy per-campaign :class:`~repro.snapshot.SnapshotEngine`."""
-        if self._engine is None:
-            from ..snapshot import SnapshotEngine
-
-            self._engine = SnapshotEngine(self.runner, metrics=self.metrics)
-        return self._engine
+        return self._server.rng_for(point_index, test_index)
 
     def run_point(self, point: InjectionPoint, point_index: int = 0) -> PointResult:
-        """All tests for one injection point."""
-        if self.stopper is not None:
-            return self._run_point_sequential(point, point_index)
+        """All tests for one injection point.
+
+        With a stopper, tests are served one at a time in index order and
+        the stream ends once the stopper says the point's outcome
+        histogram has converged; the truncation index is a pure function
+        of ``(seed, point_index)``, identical under any scheduling.
+        """
         pr = PointResult(point)
-        #: ``(slot, TestResult)`` for statically predicted tests and
-        #: ``(slot, (spec, rng))`` for tests that must execute, so engine
-        #: and scratch paths reassemble identical test order.
-        predicted: list[tuple[int, TestResult]] = []
-        tasks: list[tuple[FaultSpec, np.random.Generator]] = []
-        for t in range(self.tests_per_point):
-            if self.preclassifier is not None:
+        #: ``slot -> TestResult`` for statically predicted tests; the
+        #: other slots execute, and both reassemble in test order.
+        predicted: dict[int, TestResult] = {}
+        if self.preclassifier is not None:
+            for t in range(self.tests_per_point):
                 prediction = self.preclassifier.predict(point, point_index, t)
                 if prediction is not None:
-                    predicted.append(
-                        (
-                            t,
-                            TestResult(
-                                FaultSpec(point, prediction.param, prediction.bit),
-                                prediction.outcome,
-                                None,
-                                detail=f"static: {prediction.rule} — {prediction.detail}",
-                                predicted=True,
-                            ),
-                        )
+                    predicted[t] = TestResult(
+                        FaultSpec(point, prediction.param, prediction.bit),
+                        prediction.outcome,
+                        None,
+                        detail=f"static: {prediction.rule} — {prediction.detail}",
+                        predicted=True,
                     )
-                    continue
-            rng = self._rng_for(point_index, t)
-            spec = draw_spec(
-                point, rng,
-                policy=self.param_policy,
-                model=self.fault_model,
-                scenario=self.scenario,
+        executed = iter(
+            self._server.run(
+                point,
+                point_index,
+                [t for t in range(self.tests_per_point) if t not in predicted],
             )
-            tasks.append((spec, rng))
-        if self.snapshot and tasks:
-            executed = self._snapshot_engine().serve_point(point, tasks)
-        else:
-            executed = [self.runner.run_one(spec, rng) for spec, rng in tasks]
-        # Weave predicted results back into their original slots.
-        merged: list[TestResult] = []
-        pred_iter = iter(predicted)
-        next_pred = next(pred_iter, None)
-        exec_iter = iter(executed)
+        )
         for t in range(self.tests_per_point):
-            if next_pred is not None and next_pred[0] == t:
-                merged.append(next_pred[1])
-                next_pred = next(pred_iter, None)
-            else:
-                merged.append(next(exec_iter))
-        for test in merged:
+            test = predicted[t] if t in predicted else next(executed, None)
+            if test is None:  # the stopper ended the stream
+                break
             pr.add(test)
         if self.metrics is not None:
             self.metrics.counter("campaign.tests").inc(pr.n_tests)
-            predicted = sum(1 for t in pr.tests if t.predicted)
             if predicted:
-                self.metrics.counter("campaign.tests_predicted").inc(predicted)
-            for outcome, n in pr._synced_counts().items():
-                self.metrics.counter(f"campaign.outcome.{outcome.name}").inc(n)
-            self.metrics.histogram("campaign.point_error_rate").observe(pr.error_rate)
-        return pr
-
-    def _run_point_sequential(self, point: InjectionPoint, point_index: int) -> PointResult:
-        """Serve one test at a time, stopping once the stopper says the
-        point's outcome histogram has converged.
-
-        Tests execute strictly in test-index order, so the truncation
-        index is a pure function of ``(seed, point_index)`` — identical
-        under any scheduling.  Per-test serving costs almost nothing
-        extra under the snapshot engine: the fault-free prefix snapshot
-        is cached at the park, so every call after the first
-        fast-forwards ~zero steps before forking.
-        """
-        pr = PointResult(point)
-        for t in range(self.tests_per_point):
-            rng = self._rng_for(point_index, t)
-            spec = draw_spec(
-                point, rng,
-                policy=self.param_policy,
-                model=self.fault_model,
-                scenario=self.scenario,
-            )
-            if self.snapshot:
-                [res] = self._snapshot_engine().serve_point(point, [(spec, rng)])
-            else:
-                res = self.runner.run_one(spec, rng)
-            pr.add(res)
-            if self.stopper.should_stop(pr.tests):
-                break
-        if self.metrics is not None:
-            self.metrics.counter("campaign.tests").inc(pr.n_tests)
+                self.metrics.counter("campaign.tests_predicted").inc(len(predicted))
             saved = self.tests_per_point - pr.n_tests
             if saved:
                 self.metrics.counter("campaign.tests_saved").inc(saved)

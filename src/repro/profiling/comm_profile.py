@@ -32,6 +32,9 @@ class CallInfo:
     stack: tuple[str, ...]
     comm_group: tuple[int, ...]
     root_world: int | None
+    #: Scheduler events the whole job had spent before this rank entered
+    #: the call: the fault-free prefix a test at this invocation replays.
+    prefix_steps: int = 0
 
     @property
     def site_key(self) -> tuple[str, str]:
@@ -102,6 +105,10 @@ class CommProfiler(Instrument):
 
     def __init__(self):
         self.profile = CommProfile()
+        #: The run's :class:`~repro.simmpi.scheduler.Scheduler`, when the
+        #: caller wires it in: its live event count dates every call
+        #: (``CallInfo.prefix_steps``, 0 without it).
+        self.scheduler = None
 
     def on_collective(self, ctx, call: CollectiveCall) -> None:
         self.profile.nranks = ctx.size
@@ -125,6 +132,7 @@ class CommProfiler(Instrument):
                 stack=call.stack,
                 comm_group=comm_group,
                 root_world=root_world,
+                prefix_steps=0 if self.scheduler is None else self.scheduler.steps,
             )
         )
 

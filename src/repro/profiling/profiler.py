@@ -11,12 +11,13 @@ one-time cost reused by every injection campaign.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 import networkx as nx
 
 from ..apps.base import Application
-from ..simmpi import run_app
+from ..simmpi import SimMPI
 from .callgraph import build_callgraph
 from .callstack import average_depth, distinct_stacks, group_by_stack
 from .comm_profile import CallInfo, CommProfile, CommProfiler
@@ -63,6 +64,18 @@ class ApplicationProfile:
             key=lambda s: s.site_key,
         )
 
+    @cached_property
+    def _prefix_index(self) -> dict[tuple[int, str, str, int], int]:
+        return {
+            (c.rank, c.name, c.site, c.invocation): c.prefix_steps for c in self.comm.calls
+        }
+
+    def prefix_steps(self, point) -> int:
+        """Golden-run scheduler events before ``point``'s collective
+        entry (0 for a point the profile never saw)."""
+        key = (point.rank, point.collective, point.site, point.invocation)
+        return self._prefix_index.get(key, 0)
+
     def total_injection_points(self) -> int:
         """The unpruned exploration-space size: every invocation of every
         call site on every rank (paper § II)."""
@@ -100,9 +113,10 @@ def profile_application(
     """
     profiler = CommProfiler()
     kwargs = {} if step_budget is None else {"step_budget": step_budget}
-    result = run_app(
-        app.main, app.nranks, instruments=[profiler], algorithms=algorithms, **kwargs
-    )
+    sim = SimMPI(app.nranks, algorithms=algorithms, **kwargs)
+    contexts, _, scheduler = sim.prepare(app.main, [profiler])
+    profiler.scheduler = scheduler
+    result = sim.finish(scheduler, contexts, scheduler.run())
 
     profile = ApplicationProfile(
         app_name=app.name,

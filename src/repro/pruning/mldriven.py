@@ -85,7 +85,7 @@ def ml_driven_campaign(
     jobs: int = 1,
     db_path=None,
     resume: bool = False,
-    snapshot: bool = True,
+    snapshot: bool | None = None,
 ) -> MLDrivenResult:
     """Run the inject → learn → verify loop of FastFIT's learning phase.
 
@@ -117,9 +117,9 @@ def ml_driven_campaign(
     digest = None
     if db_path is not None:
         from ..exec.checkpoint import campaign_digest
-        from ..exec.sharding import default_unit_tests
+        from ..exec.sharding import default_unit_tests, unit_layout
 
-        layout = "s1" if snapshot else "p1"
+        layout = unit_layout(snapshot)
         unit_tests = (
             max(1, tests_per_point)
             if layout == "s1"

@@ -25,6 +25,7 @@ from pathlib import Path
 
 from ..analysis.sensitivity import PAPER_3_LEVELS, QUARTILE_LEVELS, LevelScheme
 from ..injection.outcome import OUTCOME_ORDER, Outcome
+from ..snapshot.serving import serving_summary
 from ..store.db import CampaignDB, CampaignStoreError
 from .html import Raw, fraction_bar, heat_cell, nav, page, section, svg_timeline, table
 
@@ -135,23 +136,21 @@ def _summary_section(db: CampaignDB, c: sqlite3.Row) -> str:
 
 
 def _snapshot_engine_summary(db: CampaignDB, c: sqlite3.Row) -> str:
-    """One-line snapshot-and-fork telemetry (empty when --no-snapshot or
-    no final metrics were stored)."""
+    """One-line forked/scratch split and snapshot telemetry (empty when
+    --no-snapshot or no final metrics were stored)."""
     metrics = db.metrics_snapshot(c["id"], "final")
     if not metrics:
         return ""
     counters = metrics.get("counters", {})
-    forks = counters.get("snapshot.forks", 0)
-    fallbacks = counters.get("snapshot.fallback_tests", 0)
-    if not forks and not fallbacks:
+    split = serving_summary(counters)
+    if not split:
         return ""
     hits = counters.get("snapshot.hits", 0)
     misses = counters.get("snapshot.misses", 0)
     nbytes = metrics.get("gauges", {}).get("snapshot.bytes", 0)
     ff_s = metrics.get("timers", {}).get("snapshot.fastforward_s", {}).get("total", 0.0)
     return (
-        '<p class="muted">snapshot engine: '
-        f"{forks} forked tests, {fallbacks} full replays, "
+        f'<p class="muted">snapshot engine: {split}; '
         f"{hits} snapshot hits / {misses} misses, "
         f"{nbytes / (1 << 20):.1f} MiB cached, "
         f"{ff_s:.3f}s fast-forwarding</p>"

@@ -117,6 +117,9 @@ class Scheduler:
         #: the run loop just before :meth:`_handle_send` so the tap sees
         #: the sender without widening the subclass-interception hook.
         self._sending_rank = -1
+        #: Events consumed so far.  During :meth:`run` it holds the count
+        #: before the advance in progress, so an instrument fired inside
+        #: that advance sees exactly the events that preceded it.
         self.steps = 0
         #: Unconsumed messages: match key -> FIFO of payloads.
         self.mailbox: dict[MatchKey, deque[bytes]] = {}
@@ -281,6 +284,7 @@ class Scheduler:
                 # -- inlined fiber trampoline (see Fiber.step) --------
                 value = fiber.resume_value
                 fiber.resume_value = None
+                self.steps = steps  # live count for instruments (see __init__)
                 try:
                     call = fiber.send(value)
                 except StopIteration as stop:  # fiber finished

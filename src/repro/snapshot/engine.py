@@ -21,7 +21,12 @@ Fallbacks (always to a plain ``runner.run_one`` full replay):
 * apps flagged ``deterministic = False``;
 * the park never fires (site unreachable) or the prefix itself fails;
 * fast-forward divergence (stale snapshot / determinism violation);
+* ``os.pipe``/``os.fork`` failing (``snapshot.fork_failed``): results
+  already reaped are kept and the remaining tests replay;
 * a forked child dying without delivering a result.
+
+Whether a point is worth forking at all is decided before the engine is
+called (:mod:`repro.snapshot.serving`).
 """
 
 from __future__ import annotations
@@ -268,9 +273,20 @@ class SnapshotEngine:
                 if mutants.active_mutant() == "snapshot_rng_desync":
                     rng.integers(0, 1 << 16)
                 injector = build_injector(spec, rng)
-                rfd, wfd = os.pipe()
+                rfd = wfd = -1
+                try:
+                    rfd, wfd = os.pipe()
+                    pid = os.fork()
+                except OSError:
+                    # Out of processes or descriptors (EAGAIN, EMFILE):
+                    # stop forking; this task and the rest replay from
+                    # scratch below on their untouched RNGs.
+                    for fd in (rfd, wfd):
+                        if fd >= 0:
+                            os.close(fd)
+                    self._inc(m, "snapshot.fork_failed")
+                    break
                 self._inc(m, "snapshot.forks")
-                pid = os.fork()
                 if pid == 0:
                     # -- child: arm the fault at the parked call and let
                     # the inherited scheduler stack resume.

@@ -164,7 +164,7 @@ def adaptive_campaign(
     jobs: int = 1,
     db_path=None,
     resume: bool = False,
-    snapshot: bool = True,
+    snapshot: bool | None = None,
     fault_model: str = "bitflip",
     progress_sinks=None,
     progress_every: int = 1,
@@ -215,8 +215,9 @@ def adaptive_campaign(
         # list plus the steering knobs — every batch joins the same
         # campaign row, and a differently-steered run cannot collide.
         from ..exec.checkpoint import campaign_digest
+        from ..exec.sharding import unit_layout
 
-        layout = "s1" if snapshot else "p1"
+        layout = unit_layout(snapshot)
         digest = campaign_digest(
             app,
             seed,

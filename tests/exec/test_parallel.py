@@ -1,4 +1,9 @@
-"""Parallel engine: bit-identical sharded execution + resume semantics."""
+"""Parallel engine: bit-identical sharded execution + resume semantics.
+
+Campaigns here fork explicitly (``snapshot=True``): LU class T points
+are too shallow for the default to fork, and these pins are the fork
+engine's scheduling-equivalence coverage.
+"""
 
 import pytest
 
@@ -39,7 +44,7 @@ def lu_points(lu_profile):
 @pytest.fixture(scope="module")
 def serial_result(lu_app, lu_profile, lu_points):
     return Campaign(
-        lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11
+        lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11, snapshot=True
     ).run(lu_points)
 
 
@@ -48,7 +53,7 @@ class TestDeterminism:
         """The headline guarantee: a 4-worker NPB campaign reproduces the
         serial run exactly — outcomes, error rates, per-test FaultSpecs."""
         parallel = Campaign(
-            lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11, jobs=4
+            lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11, snapshot=True, jobs=4
         ).run(lu_points)
         assert campaign_signature(parallel) == campaign_signature(serial_result)
         assert parallel.outcome_histogram() == serial_result.outcome_histogram()
@@ -57,7 +62,7 @@ class TestDeterminism:
         for unit_tests in (1, 2, 6):
             engine = ParallelCampaign(
                 lu_app, lu_profile, tests_per_point=6, param_policy="all",
-                seed=11, jobs=2, unit_tests=unit_tests,
+                seed=11, snapshot=True, jobs=2, unit_tests=unit_tests,
             )
             assert campaign_signature(engine.run(lu_points)) == campaign_signature(
                 serial_result
@@ -66,11 +71,11 @@ class TestDeterminism:
     def test_parallel_metrics_match_serial(self, lu_app, lu_profile, lu_points):
         serial, parallel = MetricsRegistry(), MetricsRegistry()
         Campaign(
-            lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11,
+            lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11, snapshot=True,
             metrics=serial,
         ).run(lu_points)
         Campaign(
-            lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11,
+            lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11, snapshot=True,
             metrics=parallel, jobs=3,
         ).run(lu_points)
         s, p = serial.to_dict()["counters"], parallel.to_dict()["counters"]
@@ -81,7 +86,7 @@ class TestDeterminism:
     def test_progress_reports_tests_and_throttles(self, lu_app, lu_profile, lu_points):
         seen = []
         Campaign(
-            lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11,
+            lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11, snapshot=True,
             jobs=2, progress=lambda done, total: seen.append((done, total)),
             progress_every=4,
         ).run(lu_points)
@@ -112,7 +117,7 @@ class TestResume:
         first = MetricsRegistry()
         with pytest.raises(Killed):
             Campaign(
-                lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11,
+                lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11, snapshot=True,
                 checkpoint_dir=ckdir, progress=killer, metrics=first,
             ).run(lu_points)
         units_before_crash = first.to_dict()["counters"]["exec.units"]
@@ -120,7 +125,7 @@ class TestResume:
 
         second = MetricsRegistry()
         resumed = Campaign(
-            lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11,
+            lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11, snapshot=True,
             checkpoint_dir=ckdir, resume=True, metrics=second,
         ).run(lu_points)
         assert campaign_signature(resumed) == campaign_signature(serial_result)
@@ -136,7 +141,7 @@ class TestResume:
     def test_resume_with_parallel_workers(self, tmp_path, lu_app, lu_profile, lu_points, serial_result):
         ckdir = tmp_path / "ck"
         engine = ParallelCampaign(
-            lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11,
+            lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11, snapshot=True,
             jobs=1, checkpoint_dir=ckdir, unit_tests=2,
         )
         # Complete only the first 5 units by faking an interrupt.
@@ -156,7 +161,7 @@ class TestResume:
         # (Same explicit unit_tests: that selects the classic p1 layout,
         # and the digest covers it.)
         resumed = ParallelCampaign(
-            lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11,
+            lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11, snapshot=True,
             jobs=4, checkpoint_dir=ckdir, unit_tests=2, resume=True,
         ).run(lu_points)
         assert campaign_signature(resumed) == campaign_signature(serial_result)
@@ -166,12 +171,12 @@ class TestResume:
     ):
         ckdir = tmp_path / "ck"
         Campaign(
-            lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11,
+            lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11, snapshot=True,
             jobs=2, checkpoint_dir=ckdir,
         ).run(lu_points)
         registry = MetricsRegistry()
         replayed = Campaign(
-            lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11,
+            lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11, snapshot=True,
             checkpoint_dir=ckdir, resume=True, metrics=registry,
         ).run(lu_points)
         assert campaign_signature(replayed) == campaign_signature(serial_result)
@@ -184,12 +189,12 @@ class TestResume:
 
         ckdir = tmp_path / "ck"
         Campaign(
-            lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11,
+            lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11, snapshot=True,
             checkpoint_dir=ckdir,
         ).run(lu_points)
         with pytest.raises(CheckpointMismatch):
             Campaign(
-                lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=12,
+                lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=12, snapshot=True,
                 checkpoint_dir=ckdir, resume=True,
             ).run(lu_points)
 

@@ -48,7 +48,8 @@ def lu_points(lu_profile):
 @pytest.fixture(scope="module")
 def serial_result(lu_app, lu_profile, lu_points):
     return Campaign(
-        lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11
+        lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11,
+        snapshot=True,
     ).run(lu_points)
 
 
@@ -61,6 +62,8 @@ def _engine(lu_app, lu_profile, **kwargs):
     # FASTFIT_CHAOS_UNITS ids below stay stable regardless of the
     # snapshot default (which would otherwise select site-major units).
     kwargs.setdefault("unit_tests", 2)
+    # Workers fork explicitly: LU class T is too shallow for the default.
+    kwargs.setdefault("snapshot", True)
     return ParallelCampaign(lu_app, lu_profile, **kwargs)
 
 

@@ -221,11 +221,14 @@ class TestAllocCap:
                 for point, pr in result.points.items()
             ]
 
+        # Forked explicitly: the app is too shallow for the default to fork.
         serial = Campaign(
-            app, greedy_profile, tests_per_point=8, param_policy="buffer", seed=3
+            app, greedy_profile, tests_per_point=8, param_policy="buffer", seed=3,
+            snapshot=True,
         ).run(points)
         parallel = Campaign(
-            app, greedy_profile, tests_per_point=8, param_policy="buffer", seed=3, jobs=4
+            app, greedy_profile, tests_per_point=8, param_policy="buffer", seed=3,
+            snapshot=True, jobs=4,
         ).run(points)
         assert signature(parallel) == signature(serial)
         assert serial.outcome_histogram()[Outcome.SEG_FAULT] >= 1

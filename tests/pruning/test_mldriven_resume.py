@@ -34,6 +34,8 @@ def run_ml(app, profile, points, **kw):
         batch_size=BATCH_SIZE,
         param_policy="all",
         seed=SEED,
+        # Fork explicitly: LU class T is too shallow for the default.
+        snapshot=True,
         **kw,
     )
 

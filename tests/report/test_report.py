@@ -3,6 +3,7 @@
 import pytest
 
 from repro.injection import Campaign, enumerate_points
+from repro.obs.metrics import MetricsRegistry
 from repro.report import SECTIONS, build_report
 from repro.store import CampaignDB, CampaignStoreError
 
@@ -54,6 +55,22 @@ def test_summary_reflects_campaign_config(report):
     assert "lu" in html
     total = len(result.all_tests())
     assert str(total) in html
+
+
+def test_summary_shows_how_tests_were_served(tmp_path, lu_app, lu_profile):
+    """LU class T is too shallow to fork: the default sent every test to
+    scratch, and the summary says so and why."""
+    db_path = tmp_path / "served.sqlite"
+    Campaign(
+        lu_app, lu_profile, tests_per_point=2, param_policy="all", seed=17,
+        db_path=db_path, metrics=MetricsRegistry(),
+    ).run(enumerate_points(lu_profile)[:3])
+    build_report(db_path, tmp_path / "out")
+    (page,) = (tmp_path / "out").glob("campaign-*.html")
+    assert (
+        "snapshot engine: 0 forked tests, 6 tests at 3 points replayed "
+        "from scratch by the depth rule (prefix under 1000 golden steps"
+    ) in page.read_text()
 
 
 def test_heatmap_has_every_point_row(report):

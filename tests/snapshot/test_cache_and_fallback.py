@@ -6,6 +6,8 @@ with the correct telemetry — never a wrong result.
 """
 
 import dataclasses
+import errno
+import os
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from repro.injection.space import FaultSpec, InjectionPoint
 from repro.injection.targets import pick_target
 from repro.obs.metrics import MetricsRegistry
 from repro.snapshot import SnapshotCache, SnapshotEngine, snapshot_supported
+from repro.snapshot import engine as engine_mod
 from repro.snapshot.snapshot import SimSnapshot
 
 pytestmark = pytest.mark.skipif(
@@ -102,6 +105,22 @@ def _scratch(runner, point, n=3, seed=5):
     return [runner.run_one(spec, rng) for spec, rng in _tasks(point, n, seed)]
 
 
+def _children():
+    """Pids of this process's children, zombies included."""
+    me, kids = os.getpid(), set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                stat = fh.read()
+        except OSError:
+            continue
+        if int(stat[stat.rindex(")") + 2:].split()[1]) == me:
+            kids.add(int(entry))
+    return kids
+
+
 def _sig(tests):
     return [
         (repr(t.spec.point), t.spec.param, t.spec.bit, t.outcome.name, t.detail)
@@ -166,3 +185,35 @@ class TestEngineFallbacks:
         assert counters["snapshot.forks"] == 6
         assert m.gauge("snapshot.bytes").value == engine.cache.nbytes > 0
         assert m.timer("snapshot.fastforward_s").count == 1
+
+    @pytest.mark.parametrize("fail_at", [1, 3])
+    def test_fork_failure_replays_the_rest_without_leaks(
+        self, runner, late_point, monkeypatch, fail_at
+    ):
+        """``os.fork`` raising EAGAIN on its Nth call: results reaped
+        before it are kept, the rest replay from scratch on their
+        untouched RNGs, and no descriptor or child is left behind."""
+        real_fork, calls = os.fork, [0]
+
+        def flaky_fork():
+            calls[0] += 1
+            if calls[0] == fail_at:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return real_fork()
+
+        expected = _sig(_scratch(runner, late_point, n=5))
+        fds_before, kids_before = len(os.listdir("/proc/self/fd")), _children()
+        monkeypatch.setattr(engine_mod.os, "fork", flaky_fork)
+        m = MetricsRegistry()
+        results = SnapshotEngine(runner, metrics=m).serve_point(
+            late_point, _tasks(late_point, n=5)
+        )
+        monkeypatch.undo()
+
+        assert _sig(results) == expected
+        counters = m.to_dict()["counters"]
+        assert counters["snapshot.fork_failed"] == 1
+        assert counters.get("snapshot.forks", 0) == fail_at - 1
+        assert counters["snapshot.fallback_tests"] == 5 - (fail_at - 1)
+        assert len(os.listdir("/proc/self/fd")) == fds_before
+        assert _children() == kids_before

@@ -35,6 +35,9 @@ def run_adaptive(app, profile, points, **kw):
         ci_width=CI_WIDTH,
         seed=SEED,
         param_policy="all",
+        # One-test-at-a-time serving never forks by default: force it so
+        # the fork engine's per-test path stays covered on every route.
+        snapshot=True,
         **kw,
     )
 

@@ -64,7 +64,8 @@ def points(lu_profile):
 def run_campaign(lu_app, lu_profile, points, **kwargs):
     return Campaign(
         lu_app, lu_profile, tests_per_point=TESTS_PER_POINT,
-        param_policy="all", seed=SEED, **kwargs,
+        # Fork explicitly: LU class T is too shallow for the default.
+        param_policy="all", seed=SEED, snapshot=True, **kwargs,
     ).run(points)
 
 

@@ -210,6 +210,19 @@ def test_stats_smoke(capsys):
     assert "phase" in out
     assert "tests/sec" in out
     assert "SUCCESS" in out
+    # IS class T is too shallow to fork: the default replays every test.
+    assert (
+        "snapshot engine: 0 forked tests, 8 tests at 4 points replayed "
+        "from scratch by the depth rule"
+    ) in out
+
+
+def test_stats_snapshot_flag_forces_forking(capsys):
+    args = ["stats", "--app", "is", "--problem-class", "T", "--tests", "2", "--max-points", "4"]
+    assert main([*args, "--snapshot"]) == 0
+    assert "snapshot engine: 8 forked tests, 0 tests at 0 points" in capsys.readouterr().out
+    assert main([*args, "--no-snapshot"]) == 0
+    assert "snapshot engine" not in capsys.readouterr().out
 
 
 def test_stats_json_export(capsys):

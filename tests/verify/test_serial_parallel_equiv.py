@@ -1,7 +1,9 @@
 """Serial <-> parallel equivalence, stated through the replay
 fingerprint: the full TestResult stream of a campaign is a pure function
 of (app, points, config), whatever the worker count — and a campaign
-interrupted mid-flight resumes to the same stream.
+interrupted mid-flight resumes to the same stream.  Campaigns fork
+explicitly (``snapshot=True``): LU class T is too shallow for the
+default to fork, and this is the fork engine's jobs-sweep coverage.
 """
 
 import pytest
@@ -46,7 +48,7 @@ def points(lu_profile):
 def serial_signature(lu_app, lu_profile, points):
     result = Campaign(
         lu_app, lu_profile, tests_per_point=TESTS_PER_POINT,
-        param_policy="all", seed=SEED,
+        param_policy="all", seed=SEED, snapshot=True,
     ).run(points)
     return stream_signature(result)
 
@@ -55,7 +57,7 @@ def serial_signature(lu_app, lu_profile, points):
 def test_jobs_sweep_bit_identical(lu_app, lu_profile, points, serial_signature, jobs):
     result = Campaign(
         lu_app, lu_profile, tests_per_point=TESTS_PER_POINT,
-        param_policy="all", seed=SEED, jobs=jobs,
+        param_policy="all", seed=SEED, snapshot=True, jobs=jobs,
     ).run(points)
     assert stream_signature(result) == serial_signature
 
@@ -78,13 +80,13 @@ def test_resume_mid_campaign_bit_identical(
     with pytest.raises(Killed):
         Campaign(
             lu_app, lu_profile, tests_per_point=TESTS_PER_POINT,
-            param_policy="all", seed=SEED,
+            param_policy="all", seed=SEED, snapshot=True,
             checkpoint_dir=ckdir, progress=killer,
         ).run(points)
 
     resumed = Campaign(
         lu_app, lu_profile, tests_per_point=TESTS_PER_POINT,
-        param_policy="all", seed=SEED,
+        param_policy="all", seed=SEED, snapshot=True,
         checkpoint_dir=ckdir, resume=True,
     ).run(points)
     assert stream_signature(resumed) == serial_signature
